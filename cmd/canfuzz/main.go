@@ -10,6 +10,8 @@
 //	canfuzz -target vehicle -bus body -dur 10s  # disturb the car (Figs 7-8)
 //	canfuzz -target bench -ids 215 -len-min 7 -len-max 7   # targeted
 //	canfuzz -target bench -trials 1000 -workers 8 -json    # fleet (Table V distribution)
+//	canfuzz -target bench -trials 1000 -submit URL -watch  # same, on a canfuzzd fleet
+//	canfuzz -worker URL                                    # join a canfuzzd fleet
 package main
 
 import (
@@ -88,13 +90,10 @@ func run(args []string) error {
 	eventsFile := fs.String("events", "", "fleet mode: stream the campaign event log (JSONL) to this file")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof on the -metrics endpoint")
 	trialTimeout := fs.Duration("trial-timeout", 0, "fleet mode: wall-clock budget per trial (0 = none); a hung trial is cancelled and counted stalled")
-	coordAddr := fs.String("coordinator", "", "serve a distributed campaign coordinator on this address (requires -events and -trials > 1)")
-	resume := fs.Bool("resume", false, "coordinator mode: resume a crashed campaign from the -events journal")
-	leaseTTL := fs.Duration("lease-ttl", campaignd.DefaultLeaseTTL, "coordinator mode: worker lease deadline before a trial is re-dispatched")
-	workerURL := fs.String("worker", "", "run as a campaign worker for the coordinator at this URL (e.g. http://host:9990)")
-	workerName := fs.String("worker-name", "", "worker mode: name reported to the coordinator (default hostname-pid)")
+	workerURL := fs.String("worker", "", "run as a campaign worker for the canfuzzd service at this URL (e.g. http://host:9090)")
+	workerName := fs.String("worker-name", "", "worker mode: name reported to the service (default hostname-pid)")
 	submitURL := fs.String("submit", "", "submit this invocation's campaign to the canfuzzd service at this URL and print the campaign ID")
-	watch := fs.Bool("watch", false, "submit mode: poll the service until the campaign completes, then print its final report")
+	watch := fs.Bool("watch", false, "submit mode: poll the service until the campaign completes, then print its final report instead of the campaign ID")
 	priority := fs.Int("priority", 1, "submit mode: fair-share scheduling weight (>= 1; higher gets proportionally more of the fleet)")
 	maxInflight := fs.Int("max-inflight", 0, "submit mode: cap on this campaign's concurrently leased trials (0 = unlimited)")
 	statusURL := fs.String("status", "", "print a one-line-per-campaign table from the canfuzzd service at this URL and exit")
@@ -118,11 +117,8 @@ func run(args []string) error {
 	}
 
 	// Worker mode is a different program: the campaign definition comes
-	// from the coordinator, so any local campaign flag is rejected.
+	// from the service, so any local campaign flag is rejected.
 	if *workerURL != "" {
-		if *coordAddr != "" {
-			return fmt.Errorf("-worker and -coordinator are mutually exclusive")
-		}
 		if err := rejectWorkerFlags(fs); err != nil {
 			return err
 		}
@@ -134,11 +130,8 @@ func run(args []string) error {
 	if *maxInflight < 0 {
 		return fmt.Errorf("-max-inflight must be >= 0, got %d", *maxInflight)
 	}
-	if *submitURL == "" {
-		switch {
-		case *watch:
-			return fmt.Errorf("-watch requires -submit")
-		}
+	if *submitURL == "" && *watch {
+		return fmt.Errorf("-watch requires -submit")
 	}
 
 	// Flag validation: loud errors instead of silent misbehaviour.
@@ -169,35 +162,19 @@ func run(args []string) error {
 	if *trialTimeout < 0 {
 		return fmt.Errorf("-trial-timeout must be >= 0, got %v", *trialTimeout)
 	}
-	if *resume && *coordAddr == "" {
-		return fmt.Errorf("-resume requires -coordinator: it reloads the coordinator's -events journal")
-	}
 	if *submitURL != "" {
 		switch {
-		case *coordAddr != "":
-			return fmt.Errorf("-submit and -coordinator are mutually exclusive")
 		case *chaosSpec != "" || *traceFile != "" || *minimize:
 			return fmt.Errorf("-chaos/-trace/-minimize are not supported with -submit: the campaign runs on the service's worker fleet")
 		case *metricsAddr != "" || *eventsFile != "":
 			return fmt.Errorf("-metrics/-events are not supported with -submit: the canfuzzd service owns the observatory and the journal")
+		case *corpusOut != "" && !*watch:
+			return fmt.Errorf("-corpus-out with -submit requires -watch: the merged corpus arrives with the final report")
+		case *findingsDB != "":
+			return fmt.Errorf("-findings-db is not supported with -submit: run canfuzzd -findings-db (service) or canregress add (journals) instead")
 		}
 	}
-	if *findingsDB != "" && (*submitURL != "" || *coordAddr != "") {
-		return fmt.Errorf("-findings-db is not supported with -submit/-coordinator: run canfuzzd -findings-db (service) or canregress add (journals) instead")
-	}
-	if *coordAddr != "" {
-		switch {
-		case *trials <= 1:
-			return fmt.Errorf("-coordinator requires fleet mode (-trials > 1)")
-		case *eventsFile == "":
-			return fmt.Errorf("-coordinator requires -events: the event log is the campaign's durable journal")
-		case *failFast:
-			return fmt.Errorf("-fail-fast is not supported with -coordinator: early stop would make the report depend on worker timing")
-		case *metricsAddr != "":
-			return fmt.Errorf("-metrics is redundant with -coordinator: the coordinator address serves the observatory routes too")
-		}
-	}
-	if *pprofFlag && *metricsAddr == "" && *coordAddr == "" {
+	if *pprofFlag && *metricsAddr == "" {
 		return fmt.Errorf("-pprof requires -metrics: profiles are served on the metrics endpoint")
 	}
 	if *minimize && *chaosSpec != "" {
@@ -346,10 +323,10 @@ func run(args []string) error {
 		plan = &p
 	}
 
-	if *coordAddr != "" || *submitURL != "" {
+	if *submitURL != "" {
 		// The wire spec is the complete campaign definition: workers rebuild
-		// identical worlds from it, and the journal embeds it so -resume can
-		// prove it is continuing the same campaign.
+		// identical worlds from it, and the service's journal embeds it so a
+		// resume can prove it is continuing the same campaign.
 		wireSpec := campaignd.CampaignSpec{
 			Target:            spec.Target,
 			Bus:               spec.Bus,
@@ -365,22 +342,12 @@ func run(args []string) error {
 		for _, f := range spec.GuidedSeed {
 			wireSpec.GuidedSeed = append(wireSpec.GuidedSeed, core.FormatCorpusFrame(f))
 		}
-		if *submitURL != "" {
-			return runSubmit(ctx, *submitURL, *token, wireSpec, submitOpts{
-				priority:    *priority,
-				maxInflight: *maxInflight,
-				watch:       *watch,
-				jsonOut:     *jsonOut,
-			})
-		}
-		return runCoordinator(ctx, wireSpec, coordinatorOpts{
-			addr:       *coordAddr,
-			leaseTTL:   *leaseTTL,
-			resume:     *resume,
-			eventsFile: *eventsFile,
-			corpusOut:  *corpusOut,
-			jsonOut:    *jsonOut,
-			pprof:      *pprofFlag,
+		return runSubmit(ctx, *submitURL, *token, wireSpec, submitOpts{
+			priority:    *priority,
+			maxInflight: *maxInflight,
+			watch:       *watch,
+			jsonOut:     *jsonOut,
+			corpusOut:   *corpusOut,
 		})
 	}
 
@@ -586,7 +553,7 @@ func writeCorpusFile(path string, lines []string) error {
 }
 
 // newWorld constructs one fully isolated target world through the shared
-// internal/target builder. The single-campaign path calls it once with the
+// internal/target builder. The single-run path calls it once with the
 // telemetry plane and chaos plan; the fleet calls it once per trial with
 // both nil, which is what keeps trials independent and the hot path
 // uninstrumented. A non-nil intr registers the world's guided engine (if
@@ -730,7 +697,7 @@ func runFleet(ctx context.Context, spec targetPkg.Spec, cfg core.Config, o fleet
 }
 
 // printFleetReport prints the human-readable campaign summary shared by the
-// in-process fleet and the distributed coordinator. It sticks to the
+// in-process fleet and `-submit -watch`. It sticks to the
 // deterministic report fields, so both paths describe the same campaign the
 // same way.
 func printFleetReport(rep *fleet.Report) {

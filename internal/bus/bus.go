@@ -132,19 +132,6 @@ func WithAutoRecovery() Option {
 	return func(b *Bus) { b.autoRecover = true }
 }
 
-// WithLoadWindow sets the sliding virtual-time window over which WindowLoad
-// computes recent bus utilisation (default DefaultLoadWindow).
-func WithLoadWindow(d time.Duration) Option {
-	return func(b *Bus) {
-		if d > 0 {
-			b.win.bucket = d / loadWindowBuckets
-			if b.win.bucket <= 0 {
-				b.win.bucket = 1
-			}
-		}
-	}
-}
-
 // Corruptor decides whether a frame transmission is corrupted on the wire
 // (fault injection). Returning true destroys the frame: receivers never see
 // it and the transmitter's error counter increases.

@@ -1,7 +1,6 @@
 package campaignd
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/retry"
 )
 
-// Lease / submission errors surfaced over HTTP.
+// Lease / submission errors, surfaced over HTTP by campsrv.
 var (
 	// ErrLeaseGone means the heartbeated lease is no longer current: it
 	// expired and the trial was re-dispatched (or already completed).
@@ -95,13 +94,12 @@ type trial struct {
 	result      fleet.TrialResult // stateDone
 }
 
-// Coordinator shards a campaign into leases and folds accepted results
-// into the same deterministic report an in-process fleet.Run produces.
-// All methods are safe for concurrent use; the HTTP layer in http.go is a
-// thin translation over them.
+// Coordinator is one campaign's lease book: it shards the campaign into
+// leases and folds accepted results into the same deterministic report an
+// in-process fleet.Run produces. All methods are safe for concurrent use;
+// campsrv hosts one per running campaign and is its only HTTP front end.
 type Coordinator struct {
 	spec     CampaignSpec
-	specJSON []byte
 	ttl      time.Duration
 	policy   retry.Policy
 	every    int
@@ -119,10 +117,6 @@ type Coordinator struct {
 	rng         *rand.Rand
 	report      *fleet.Report
 	finishedSig chan struct{}
-	// waiters tracks workers that will contact us again (leased a trial or
-	// told to wait) and have not yet been told the campaign is done; Drain
-	// keeps the coordinator answerable until this set empties.
-	waiters map[string]struct{}
 }
 
 // New builds a coordinator for the spec, journalling to cfg.Sink. With
@@ -149,7 +143,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		spec:        cfg.Spec,
-		specJSON:    specJSON,
 		ttl:         cfg.LeaseTTL,
 		policy:      cfg.Redispatch,
 		every:       cfg.CheckpointEvery,
@@ -159,7 +152,6 @@ func New(cfg Config) (*Coordinator, error) {
 		trials:      make([]trial, cfg.Spec.Trials),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		finishedSig: make(chan struct{}),
-		waiters:     make(map[string]struct{}),
 	}
 	c.progress.CampaignStarted(cfg.Spec.FleetConfig(), 0)
 	for i := range c.trials {
@@ -198,9 +190,6 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// SpecJSON returns the canonical spec bytes served at /campaignd/spec.
-func (c *Coordinator) SpecJSON() []byte { return c.specJSON }
-
 // Lease statuses.
 const (
 	// LeaseGranted carries a trial assignment.
@@ -217,9 +206,8 @@ const (
 type Lease struct {
 	// Status is LeaseGranted, LeaseWait or LeaseDone.
 	Status string `json:"status"`
-	// Campaign identifies which campaign the trial belongs to when the
-	// lease was granted by a multi-campaign scheduler (campsrv). Empty on a
-	// single-campaign coordinator, whose workers already know the campaign.
+	// Campaign identifies which campaign the trial belongs to; campsrv's
+	// scheduler stamps it on every grant.
 	Campaign string `json:"campaign,omitempty"`
 	// Trial and Seed identify the assigned shard (LeaseGranted).
 	Trial int   `json:"trial"`
@@ -243,13 +231,7 @@ func (c *Coordinator) AcquireLease(worker string) Lease {
 	defer c.mu.Unlock()
 	c.reclaimExpiredLocked(now)
 	if c.done == len(c.trials) {
-		delete(c.waiters, worker)
 		return Lease{Status: LeaseDone}
-	}
-	// Whatever we answer below, this worker will poll or submit again: keep
-	// the coordinator up for it after completion (see Drain).
-	if worker != "" {
-		c.waiters[worker] = struct{}{}
 	}
 	var nextAvail time.Time
 	for i := range c.trials {
@@ -438,44 +420,6 @@ func (c *Coordinator) Finished() bool {
 	}
 }
 
-// forgetWaiter records that a worker has been told the campaign is done
-// (it will not contact the coordinator again).
-func (c *Coordinator) forgetWaiter(worker string) {
-	if worker == "" {
-		return
-	}
-	c.mu.Lock()
-	delete(c.waiters, worker)
-	c.mu.Unlock()
-}
-
-// Drain blocks after completion until every worker known to be polling or
-// submitting has been answered with "done", so none is left retrying
-// against a vanished server. max bounds the wait (a crashed worker never
-// comes back to be told); ctx cancels it early. Calling Drain before
-// completion returns immediately.
-func (c *Coordinator) Drain(ctx context.Context, max time.Duration) {
-	if !c.Finished() {
-		return
-	}
-	deadline := time.Now().Add(max)
-	t := time.NewTicker(25 * time.Millisecond)
-	defer t.Stop()
-	for {
-		c.mu.Lock()
-		waiting := len(c.waiters)
-		c.mu.Unlock()
-		if waiting == 0 || !time.Now().Before(deadline) {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-	}
-}
-
 // Leased counts the currently leased trials after reclaiming expired
 // leases — the live in-flight width a fair-share scheduler caps per
 // campaign (campsrv's max-inflight).
@@ -500,17 +444,8 @@ func (c *Coordinator) Report() *fleet.Report {
 	return c.report
 }
 
-// Wait blocks until the campaign completes or ctx ends.
-func (c *Coordinator) Wait(ctx context.Context) (*fleet.Report, error) {
-	select {
-	case <-c.finishedSig:
-		return c.Report(), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Status is the coordinator's live view, served at /campaignd/status.
+// Status is the coordinator's live view, served inside campsrv's
+// per-campaign detail.
 type Status struct {
 	Trials     int  `json:"trials"`
 	Done       int  `json:"done"`

@@ -4,14 +4,11 @@ package campaignd_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"net/http/httptest"
 
 	"repro/internal/bcm"
 	"repro/internal/campaignd"
@@ -80,7 +77,44 @@ func reportBytes(t *testing.T, rep *fleet.Report) []byte {
 	return buf.Bytes()
 }
 
+// leaseLoop is an in-process worker on the coordinator's lease protocol:
+// lease, run, heartbeat, submit the result after a JSON round trip (the
+// form it crosses the wire in), until the coordinator says done.
+func leaseLoop(t *testing.T, coord *campaignd.Coordinator, name string, cfg fleet.Config) {
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		l := coord.AcquireLease(name)
+		switch l.Status {
+		case campaignd.LeaseDone:
+			return
+		case campaignd.LeaseWait:
+			time.Sleep(l.RetryAfter)
+			continue
+		}
+		res := fleet.RunTrial(fleet.TrialSpec{Index: l.Trial, Seed: l.Seed}, cfg, unlockFactory)
+		if err := coord.Heartbeat(l.ID); err != nil {
+			t.Errorf("worker %s: heartbeat on live lease %d: %v", name, l.ID, err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Errorf("worker %s: %v", name, err)
+			return
+		}
+		var wire fleet.TrialResult
+		if err := json.Unmarshal(raw, &wire); err != nil {
+			t.Errorf("worker %s: %v", name, err)
+			return
+		}
+		if err := coord.Submit(l.Trial, l.ID, wire); err != nil {
+			t.Errorf("worker %s: submit trial %d: %v", name, l.Trial, err)
+		}
+	}
+	t.Errorf("worker %s: campaign not done by deadline", name)
+}
+
 func TestDistributedReportMatchesInProcess(t *testing.T) {
+	// Three concurrent workers sharding one campaign through the lease
+	// protocol must yield the in-process report byte for byte.
 	spec := testSpec(6)
 	golden := inProcessGolden(t, spec)
 
@@ -90,38 +124,28 @@ func TestDistributedReportMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
 	var wg sync.WaitGroup
 	for _, name := range []string{"w1", "w2", "w3"} {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			w := &campaignd.Worker{
-				Client: &campaignd.Client{Base: srv.URL},
-				Name:   name,
-				Build:  buildBench,
-			}
-			if err := w.Run(context.Background()); err != nil {
-				t.Errorf("worker %s: %v", name, err)
-			}
+			leaseLoop(t, coord, name, spec.FleetConfig())
 		}(name)
 	}
 	wg.Wait()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rep, err := coord.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
+	select {
+	case <-coord.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("campaign did not finish: %+v", coord.Snapshot())
 	}
-	if got := reportBytes(t, rep); !bytes.Equal(got, golden) {
+	if got := reportBytes(t, coord.Report()); !bytes.Equal(got, golden) {
 		t.Fatalf("distributed report differs from in-process run:\n--- dist ---\n%s\n--- golden ---\n%s", got, golden)
 	}
 
-	// The journal must be a self-sufficient record: replay it and the same
-	// report falls out.
+	// The journal must be a self-sufficient record: replay it and every
+	// trial result falls out.
 	j, err := campaignd.LoadJournal(bytes.NewReader(journal.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +157,7 @@ func TestDistributedReportMatchesInProcess(t *testing.T) {
 		t.Fatalf("journal holds %d results, want %d", len(j.Results), spec.Trials)
 	}
 	st := coord.Snapshot()
-	if !st.Complete || st.Done != spec.Trials {
+	if !st.Complete || st.Done != spec.Trials || st.Duplicates != 0 {
 		t.Fatalf("status after completion: %+v", st)
 	}
 }
@@ -328,6 +352,32 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if len(j.Results) == 0 || len(j.Results) > 2 {
 		t.Fatalf("recovered %d results from torn journal", len(j.Results))
 	}
+	if want := int64(strings.LastIndexByte(torn[:len(torn)-1], '\n') + 1); j.Durable != want {
+		t.Fatalf("durable prefix = %d bytes, want %d", j.Durable, want)
+	}
+
+	// A complete final line that lost only its newline is torn too: the
+	// append never finished, so the line must not count as durable.
+	full := journal.String()
+	whole, err := campaignd.LoadJournal(strings.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.TruncatedTail || whole.Durable != int64(len(full)) || len(whole.Results) != 2 {
+		t.Fatalf("intact journal: torn=%v durable=%d/%d results=%d",
+			whole.TruncatedTail, whole.Durable, len(full), len(whole.Results))
+	}
+	unterminated, err := campaignd.LoadJournal(strings.NewReader(full[:len(full)-1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastLine := strings.LastIndexByte(full[:len(full)-1], '\n') + 1
+	if !unterminated.TruncatedTail || unterminated.Durable != int64(lastLine) ||
+		unterminated.Lines != whole.Lines-1 {
+		t.Fatalf("unterminated tail: torn=%v durable=%d (want %d) lines=%d (want %d)",
+			unterminated.TruncatedTail, unterminated.Durable, lastLine,
+			unterminated.Lines, whole.Lines-1)
+	}
 
 	// A malformed line mid-stream is corruption, not a torn tail.
 	corrupt := "{bad json}\n" + journal.String()
@@ -364,128 +414,5 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := coord.Submit(l.Trial, l.ID, fleet.TrialResult{Trial: l.Trial, Seed: 12345}); err == nil {
 		t.Error("seed-mismatched result accepted")
-	}
-}
-
-func TestDrainWaitsForPollingWorkers(t *testing.T) {
-	// A coordinator must not vanish the instant the last result lands:
-	// workers parked in the lease-wait loop still need to hear "done".
-	spec := testSpec(1)
-	coord, err := campaignd.New(campaignd.Config{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := coord.AcquireLease("runner")
-	if runner.Status != campaignd.LeaseGranted {
-		t.Fatalf("runner lease = %+v", runner)
-	}
-	// A second worker finds nothing dispatchable and becomes a waiter.
-	if l := coord.AcquireLease("idler"); l.Status != campaignd.LeaseWait {
-		t.Fatalf("idler lease = %+v", l)
-	}
-
-	res := fleet.TrialResult{Trial: 0, Seed: runner.Seed, Status: fleet.StatusTimeout}
-	if err := coord.Submit(runner.Trial, runner.ID, res); err != nil {
-		t.Fatal(err)
-	}
-	if !coord.Finished() {
-		t.Fatal("campaign not finished after last submit")
-	}
-	// The runner polls once more and is told done (over HTTP the submit ack
-	// itself carries the done flag; the direct API learns it here).
-	if l := coord.AcquireLease("runner"); l.Status != campaignd.LeaseDone {
-		t.Fatalf("runner final lease = %+v", l)
-	}
-
-	// Drain must block on the idler, then return promptly once the idler's
-	// next poll is answered with done.
-	start := time.Now()
-	done := make(chan struct{})
-	go func() {
-		coord.Drain(context.Background(), 10*time.Second)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Drain returned with a waiter still unanswered")
-	case <-time.After(100 * time.Millisecond):
-	}
-	if l := coord.AcquireLease("idler"); l.Status != campaignd.LeaseDone {
-		t.Fatalf("idler final lease = %+v", l)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Drain did not return after the waiter was answered")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Drain took %v", elapsed)
-	}
-
-	// The cap bounds the wait for a worker that never comes back: register
-	// a waiter on a fresh campaign, finish it, and Drain must give up at
-	// the cap instead of blocking forever.
-	coord2, err := campaignd.New(campaignd.Config{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner2 := coord2.AcquireLease("runner")
-	if l := coord2.AcquireLease("ghost"); l.Status != campaignd.LeaseWait {
-		t.Fatalf("ghost lease = %+v", l)
-	}
-	res2 := fleet.TrialResult{Trial: 0, Seed: runner2.Seed, Status: fleet.StatusTimeout}
-	if err := coord2.Submit(runner2.Trial, runner2.ID, res2); err != nil {
-		t.Fatal(err)
-	}
-	capStart := time.Now()
-	coord2.Drain(context.Background(), 100*time.Millisecond)
-	if elapsed := time.Since(capStart); elapsed < 50*time.Millisecond || elapsed > 2*time.Second {
-		t.Fatalf("capped Drain took %v, want ~100ms", elapsed)
-	}
-}
-
-func TestSubmitResponseCarriesDone(t *testing.T) {
-	// The submit ack's done flag lets the finishing worker exit without one
-	// more lease poll against a server that may already be gone.
-	spec := testSpec(2)
-	coord, err := campaignd.New(campaignd.Config{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	client := &campaignd.Client{Base: srv.URL}
-
-	for i := 0; i < 2; i++ {
-		l, err := client.Lease("w1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.Status != campaignd.LeaseGranted {
-			t.Fatalf("lease %d = %+v", i, l)
-		}
-		res := fleet.TrialResult{Trial: l.Trial, Seed: l.Seed, Status: fleet.StatusTimeout}
-		body, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ack, err := client.Submit("", l.Trial, l.ID, "w1", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ack.Accepted || ack.Duplicate {
-			t.Fatalf("submit %d ack = %+v", i, ack)
-		}
-		// A single-campaign coordinator sets both flags together: its
-		// campaign draining IS all work running out.
-		if want := i == 1; ack.Done != want || ack.CampaignDone != want {
-			t.Fatalf("submit %d ack = %+v, want done=%v", i, ack, want)
-		}
-	}
-	// With w1 told done at submit time, Drain has nobody to wait for.
-	start := time.Now()
-	coord.Drain(context.Background(), 10*time.Second)
-	if time.Since(start) > time.Second {
-		t.Fatal("Drain waited despite the submit-done notification")
 	}
 }

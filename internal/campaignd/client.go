@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // ErrCampaignGone means the server no longer serves the named campaign
@@ -17,13 +18,58 @@ import (
 // retry loops must not ride it out.
 var ErrCampaignGone = errors.New("campaignd: campaign gone")
 
-// Client speaks the coordinator API from a worker process — either a
-// single-campaign coordinator (`canfuzz -coordinator`) or the
-// multi-campaign campsrv scheduler (`canfuzzd`), which scope every call
-// with a campaign ID. Methods return transport errors verbatim so the
-// worker's retry loop can distinguish "the server is briefly down — keep
-// trying, it may be resuming from its journal" from protocol errors that
-// will not heal.
+// wireLease is the JSON body of a lease decision; durations travel as
+// integral milliseconds.
+type wireLease struct {
+	Status       string `json:"status"`
+	Campaign     string `json:"campaign,omitempty"`
+	Trial        int    `json:"trial"`
+	Seed         int64  `json:"seed"`
+	LeaseID      uint64 `json:"leaseId"`
+	LeaseMs      int64  `json:"leaseMs"`
+	RetryAfterMs int64  `json:"retryAfterMs"`
+}
+
+// WireLease converts a lease decision to its wire body — the document
+// campsrv's lease endpoint answers with.
+func WireLease(l Lease) any {
+	return wireLease{
+		Status: l.Status, Campaign: l.Campaign, Trial: l.Trial, Seed: l.Seed,
+		LeaseID:      l.ID,
+		LeaseMs:      l.TTL.Milliseconds(),
+		RetryAfterMs: l.RetryAfter.Milliseconds(),
+	}
+}
+
+// leaseFromWire converts the JSON body back to a Lease (client side).
+func leaseFromWire(wl wireLease) Lease {
+	return Lease{
+		Status: wl.Status, Campaign: wl.Campaign,
+		Trial: wl.Trial, Seed: wl.Seed, ID: wl.LeaseID,
+		TTL:        time.Duration(wl.LeaseMs) * time.Millisecond,
+		RetryAfter: time.Duration(wl.RetryAfterMs) * time.Millisecond,
+	}
+}
+
+// SubmitAck is the result-submission response. Done means "this server has
+// no work left, ever — exit"; CampaignDone means only that the submitted
+// trial's campaign drained. campsrv keeps Done false until it shuts down,
+// so workers re-poll for other campaigns instead of exiting.
+type SubmitAck struct {
+	Accepted     bool `json:"accepted"`
+	Duplicate    bool `json:"duplicate,omitempty"`
+	CampaignDone bool `json:"campaignDone,omitempty"`
+	Done         bool `json:"done,omitempty"`
+	// Gone is set client-side on 410: the campaign no longer exists
+	// (cancelled); the result is dropped, not an error.
+	Gone bool `json:"-"`
+}
+
+// Client speaks the campsrv worker protocol (`canfuzzd`) from a worker
+// process; every call but Lease is scoped with a campaign ID. Methods
+// return transport errors verbatim so the worker's retry loop can
+// distinguish "the server is briefly down — keep trying, it may be
+// resuming from its journals" from protocol errors that will not heal.
 type Client struct {
 	// Base is the server URL, e.g. "http://127.0.0.1:9990".
 	Base string
@@ -42,11 +88,7 @@ func (c *Client) http() *http.Client {
 }
 
 func (c *Client) url(path, query string) string {
-	u := strings.TrimSuffix(c.Base, "/") + path
-	if query != "" {
-		u += "?" + query
-	}
-	return u
+	return strings.TrimSuffix(c.Base, "/") + path + "?" + query
 }
 
 // do issues one request with the auth header attached.
@@ -64,31 +106,10 @@ func (c *Client) do(method, url, contentType string, body io.Reader) (*http.Resp
 	return c.http().Do(req)
 }
 
-// campaignQuery renders the optional campaign scope; a single-campaign
-// coordinator is addressed with the empty ID and no parameter at all, so
-// the PR 7 wire format is a strict subset of the multi-campaign one.
-func campaignQuery(campaign string) string {
-	if campaign == "" {
-		return ""
-	}
-	return "campaign=" + url.QueryEscape(campaign)
-}
-
-func joinQuery(parts ...string) string {
-	var nonEmpty []string
-	for _, p := range parts {
-		if p != "" {
-			nonEmpty = append(nonEmpty, p)
-		}
-	}
-	return strings.Join(nonEmpty, "&")
-}
-
-// Spec fetches and validates a campaign spec. The empty campaign ID
-// addresses a single-campaign coordinator.
+// Spec fetches and validates a campaign spec.
 func (c *Client) Spec(campaign string) (CampaignSpec, error) {
 	var spec CampaignSpec
-	resp, err := c.do(http.MethodGet, c.url("/campaignd/spec", campaignQuery(campaign)), "", nil)
+	resp, err := c.do(http.MethodGet, c.url("/campaignd/spec", "campaign="+url.QueryEscape(campaign)), "", nil)
 	if err != nil {
 		return spec, err
 	}
@@ -106,8 +127,8 @@ func (c *Client) Spec(campaign string) (CampaignSpec, error) {
 	return spec, spec.Validate()
 }
 
-// Lease asks for a trial assignment. Against a multi-campaign scheduler
-// the returned lease carries the campaign ID the trial belongs to.
+// Lease asks for a trial assignment; the returned lease carries the
+// campaign ID the trial belongs to.
 func (c *Client) Lease(worker string) (Lease, error) {
 	resp, err := c.do(http.MethodPost,
 		c.url("/campaignd/lease", "worker="+url.QueryEscape(worker)), "", nil)
@@ -128,7 +149,7 @@ func (c *Client) Lease(worker string) (Lease, error) {
 // Heartbeat extends a lease; ErrLeaseGone when it is no longer current,
 // ErrCampaignGone when its whole campaign is.
 func (c *Client) Heartbeat(campaign string, leaseID uint64) error {
-	q := joinQuery(campaignQuery(campaign), "lease="+strconv.FormatUint(leaseID, 10))
+	q := "campaign=" + url.QueryEscape(campaign) + "&lease=" + strconv.FormatUint(leaseID, 10)
 	resp, err := c.do(http.MethodPost, c.url("/campaignd/heartbeat", q), "", nil)
 	if err != nil {
 		return err
@@ -155,10 +176,10 @@ func (c *Client) Heartbeat(campaign string, leaseID uint64) error {
 // retry. The ack's CampaignDone/Done flags drive the worker's re-poll-vs-
 // exit decision; see SubmitAck.
 func (c *Client) Submit(campaign string, index int, leaseID uint64, worker string, resultJSON []byte) (SubmitAck, error) {
-	q := joinQuery(campaignQuery(campaign),
-		"trial="+strconv.Itoa(index),
-		"lease="+strconv.FormatUint(leaseID, 10),
-		"worker="+url.QueryEscape(worker))
+	q := "campaign=" + url.QueryEscape(campaign) +
+		"&trial=" + strconv.Itoa(index) +
+		"&lease=" + strconv.FormatUint(leaseID, 10) +
+		"&worker=" + url.QueryEscape(worker)
 	resp, err := c.do(http.MethodPost, c.url("/campaignd/result", q),
 		"application/json", bytes.NewReader(resultJSON))
 	if err != nil {

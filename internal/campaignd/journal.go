@@ -30,21 +30,41 @@ type Journal struct {
 	// Lines counts complete journal lines read.
 	Lines int
 	// TruncatedTail reports that the final line was cut mid-write — the
-	// coordinator died inside an append. The partial line is discarded;
-	// everything before it is intact because lines are appended whole.
+	// writer died inside an append, leaving a line that is unterminated or
+	// does not parse. The partial line is discarded; everything before it
+	// is intact because lines are appended whole, newline included.
 	TruncatedTail bool
+	// Durable is the byte length of the journal's durable prefix: every
+	// line up to and including the last '\n' that precedes the torn tail
+	// (the whole stream when there is none). A writer resuming the journal
+	// truncates it to exactly this length before appending.
+	Durable int64
 }
 
 // journalScanBuf bounds one journal line; trial_result lines with a large
 // guided corpus are the big case.
 const journalScanBuf = 16 << 20
 
-// LoadJournal replays an event log. A malformed line is fatal unless it is
-// the last line of the stream, which is read as a torn tail write.
+// scanJournalLines splits a journal into lines that keep their '\n', so
+// the reader can tell a complete line from an unterminated tail.
+func scanJournalLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// LoadJournal replays an event log. The final line is a torn tail write,
+// discarded, when it lacks its '\n' or does not parse; any other malformed
+// line is fatal.
 func LoadJournal(r io.Reader) (*Journal, error) {
 	j := &Journal{Results: map[int]fleet.TrialResult{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), journalScanBuf)
+	sc.Split(scanJournalLines)
 	var pendingErr error
 	for sc.Scan() {
 		if pendingErr != nil {
@@ -52,8 +72,16 @@ func LoadJournal(r io.Reader) (*Journal, error) {
 			// tail.
 			return nil, pendingErr
 		}
-		line := bytes.TrimSpace(sc.Bytes())
+		raw := sc.Bytes()
+		if raw[len(raw)-1] != '\n' {
+			// Only the stream's last token can lack its newline: the append
+			// that would have completed it never happened.
+			j.TruncatedTail = true
+			break
+		}
+		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
+			j.Durable += int64(len(raw))
 			continue
 		}
 		ev, err := observatory.ParseLine(line)
@@ -61,6 +89,7 @@ func LoadJournal(r io.Reader) (*Journal, error) {
 			pendingErr = fmt.Errorf("campaignd: journal line %d: %w", j.Lines+1, err)
 			continue
 		}
+		j.Durable += int64(len(raw))
 		j.Lines++
 		switch ev.Type {
 		case observatory.EventCampaignStart:

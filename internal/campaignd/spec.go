@@ -1,7 +1,10 @@
-// Package campaignd is the crash-tolerant distributed campaign service: an
-// HTTP coordinator that shards a fleet campaign into per-trial leases, and
-// a worker loop that executes leased trials through fleet.RunTrial and
-// streams the results back.
+// Package campaignd is the core of the crash-tolerant distributed campaign
+// service: the Coordinator lease book that shards a fleet campaign into
+// per-trial leases, the campaign spec and journal that make it resumable,
+// and the worker and client that execute leased trials through
+// fleet.RunTrial and stream the results back. It serves no HTTP itself:
+// internal/campsrv (canfuzzd) hosts one Coordinator per running campaign
+// behind the /campaignd/* worker protocol.
 //
 // The design goal is the fleet package's determinism guarantee stretched
 // over an unreliable network of crashing processes. It holds because
@@ -22,11 +25,11 @@
 // backoff via internal/retry). Duplicate submissions — a slow worker
 // racing its re-dispatched replacement — are idempotent because both
 // computed the same bytes; the first accepted result wins and the journal
-// records each trial exactly once. Coordinator crashes are survivable
-// through the journal: every accepted result is appended to the
-// observatory event log as a trial_result line, and a restarted
-// coordinator rebuilds its state from that log, skipping completed trials
-// and re-leasing the rest. DESIGN §12 documents the full state machine.
+// records each trial exactly once. Server crashes are survivable through
+// the journal: every accepted result is appended to the observatory event
+// log as a trial_result line, and a restarted server rebuilds each lease
+// book from its log, skipping completed trials and re-leasing the rest.
+// DESIGN §12 documents the full state machine.
 package campaignd
 
 import (

@@ -1,25 +1,24 @@
 // Package campsrv is the multi-campaign fuzzing service: a long-lived
 // server that accepts campaign submissions over HTTP, runs each one as its
 // own crash-tolerant campaignd lease book, and multiplexes all of them
-// over one shared, campaign-agnostic worker fleet.
+// over one shared, campaign-agnostic worker fleet. It is the only server
+// of the /campaignd/* worker protocol.
 //
-// Where PR 7's coordinator ran exactly one campaign and exited, campsrv is
-// the standing "fuzzing as a service" layer the ROADMAP targets: clients
-// POST a spec and get a campaign ID; workers lease (campaign, trial) pairs
-// from a single endpoint; a weighted round-robin scheduler with
-// per-campaign priorities and max-inflight caps decides whose trial the
-// next free worker gets, so one huge campaign cannot starve small ones.
+// Clients POST a spec and get a campaign ID; workers lease (campaign,
+// trial) pairs from a single endpoint; a weighted round-robin scheduler
+// with per-campaign priorities and max-inflight caps decides whose trial
+// the next free worker gets, so one huge campaign cannot starve small
+// ones.
 //
 // Everything durable lives under one data directory:
 //
 //	<data>/index.json        campaign registry: id, state, priority, spec
 //	<data>/<id>/events.jsonl per-campaign journal (campaignd format)
 //
-// The journals are the same event logs a single-campaign coordinator
-// writes, so the whole directory resumes through the existing LoadJournal
-// path: a restarted server rebuilds every done campaign's report from its
-// journal and re-opens a lease book for every interrupted one, and the
-// per-campaign determinism guarantee — final report byte-identical to an
+// The journals are campaignd event logs, so the whole directory resumes
+// through campaignd.LoadJournal: a restarted server rebuilds every done
+// campaign's report from its journal and re-opens a lease book for every
+// interrupted one, and the per-campaign determinism guarantee — final report byte-identical to an
 // in-process fleet.Run — survives any SIGKILL. DESIGN §13 documents the
 // scheduler, the campaign state machine and the resume protocol.
 package campsrv
@@ -170,8 +169,7 @@ type Server struct {
 // New builds the server, either initialising a fresh data directory or
 // resuming an existing one (cfg.Resume). On resume, interrupted campaigns
 // come back as live lease books seeded from their journals and completed
-// ones get their reports rebuilt — both through the same LoadJournal path
-// the single-campaign coordinator uses.
+// ones get their reports rebuilt — both through campaignd.LoadJournal.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("campsrv: Config.DataDir is required")
@@ -288,12 +286,16 @@ func (s *Server) slotFreeLocked() bool {
 }
 
 // startLocked opens the campaign's journal and lease book and enters it
-// into the scheduler ring. resumed is non-nil when continuing an
-// interrupted campaign from its journal.
-func (s *Server) startLocked(c *campaign, resumed map[int]fleet.TrialResult) error {
-	journal, err := s.openJournal(c, resumed != nil)
+// into the scheduler ring. j is the recovered journal when continuing an
+// interrupted campaign, nil for a fresh start.
+func (s *Server) startLocked(c *campaign, j *campaignd.Journal) error {
+	journal, err := s.openJournal(c, j)
 	if err != nil {
 		return err
+	}
+	var resumed map[int]fleet.TrialResult
+	if j != nil {
+		resumed = j.Results
 	}
 	sink := observatory.NewSink(journal)
 	progress := fleet.NewProgress()

@@ -8,6 +8,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +152,21 @@ func waitState(t *testing.T, s *campsrv.Server, id string, want campsrv.State) {
 	}
 }
 
+// loadJournal replays a campaign's events.jsonl from the data directory.
+func loadJournal(t *testing.T, dir, id string) *campaignd.Journal {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, id, "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	j, err := campaignd.LoadJournal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
 func reportJSON(t *testing.T, s *campsrv.Server, id string) []byte {
 	t.Helper()
 	rep, err := s.ReportJSON(id)
@@ -281,7 +299,8 @@ func TestThreeCampaignsSharedWorkersByteIdentical(t *testing.T) {
 		goldens[i] = inProcessGolden(t, spec)
 	}
 
-	s := newServer(t, campsrv.Config{})
+	dir := t.TempDir()
+	s := newServer(t, campsrv.Config{DataDir: dir})
 	defer s.Close()
 	hs := httptest.NewServer(s.Handler(campsrv.HandlerConfig{}))
 	defer hs.Close()
@@ -323,6 +342,15 @@ func TestThreeCampaignsSharedWorkersByteIdentical(t *testing.T) {
 		if got := reportJSON(t, s, id); !bytes.Equal(got, goldens[i]) {
 			t.Fatalf("campaign %s report differs from in-process run:\n%s\n--- golden ---\n%s",
 				id, got, goldens[i])
+		}
+		// The journal is a self-sufficient record: every trial's result
+		// replays out of it, under the spec it was submitted with.
+		j := loadJournal(t, dir, id)
+		if err := j.Compatible(specs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if len(j.Results) != specs[i].Trials {
+			t.Fatalf("campaign %s journal holds %d results, want %d", id, len(j.Results), specs[i].Trials)
 		}
 	}
 }
@@ -422,6 +450,69 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	if got := reportJSON(t, s3, idB); !bytes.Equal(got, goldenB) {
 		t.Fatalf("campaign B report differs after second resume:\n%s\n--- golden ---\n%s", got, goldenB)
+	}
+}
+
+// TestResumeUnterminatedTail: a SIGKILL that lands between a trial_result
+// line and its newline leaves a complete but unterminated final line. The
+// resume must treat it as torn — re-run that trial rather than count it
+// done and then truncate its only record — so the finished journal holds
+// every trial_result and a second resume finds the campaign done.
+func TestResumeUnterminatedTail(t *testing.T) {
+	spec := testSpec(3, 11)
+	golden := inProcessGolden(t, spec)
+	dir := t.TempDir()
+
+	s1 := newServer(t, campsrv.Config{DataDir: dir})
+	id := submit(t, s1, spec, 1, 0)
+	for i := 0; i < 2; i++ {
+		l := s1.AcquireLease("doomed")
+		if l.Status != campaignd.LeaseGranted {
+			t.Fatalf("lease %d before kill: status %q", i, l.Status)
+		}
+		if _, err := s1.SubmitResult(l.Campaign, l.Trial, l.ID, runLease(spec, l)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Abandon s1 without Close and cut the journal's final newline.
+	path := filepath.Join(dir, id, "events.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		t.Fatal("journal does not end in a newline before the cut")
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newServer(t, campsrv.Config{DataDir: dir, Resume: true})
+	drainAll(t, s2, map[string]campaignd.CampaignSpec{id: spec})
+	if got := reportJSON(t, s2, id); !bytes.Equal(got, golden) {
+		t.Fatalf("report differs after resume:\n%s\n--- golden ---\n%s", got, golden)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(after), `"type":"trial_result"`); n != spec.Trials {
+		t.Fatalf("finished journal holds %d trial_result lines, want %d", n, spec.Trials)
+	}
+	if j := loadJournal(t, dir, id); len(j.Results) != spec.Trials || j.TruncatedTail {
+		t.Fatalf("finished journal: %d results, torn=%v", len(j.Results), j.TruncatedTail)
+	}
+
+	s3 := newServer(t, campsrv.Config{DataDir: dir, Resume: true})
+	defer s3.Close()
+	if d, err := s3.Detail(id); err != nil || d.State != campsrv.StateDone {
+		t.Fatalf("second resume: state %v err %v, want done", d.State, err)
+	}
+	if got := reportJSON(t, s3, id); !bytes.Equal(got, golden) {
+		t.Fatalf("report differs after second resume:\n%s\n--- golden ---\n%s", got, golden)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // corpora are the large case and stay far under this.
 const maxSubmissionBody = 8 << 20
 
-// maxResultBody mirrors campaignd's bound on one submitted TrialResult.
+// maxResultBody bounds one submitted TrialResult document; guided-corpus
+// trials are the large case and stay far under this.
 const maxResultBody = 8 << 20
 
 // HandlerConfig tunes Handler.
@@ -48,8 +49,7 @@ type HandlerConfig struct {
 //	GET  /fleet.json                 fleet-wide aggregate of every
 //	                                 campaign's progress snapshot
 //
-// plus the campaign-scoped worker protocol (the campaignd wire format with
-// a campaign=ID query parameter):
+// plus the campaign-scoped worker protocol that campaignd.Client speaks:
 //
 //	GET  /campaignd/spec?campaign=ID
 //	POST /campaignd/lease?worker=NAME          fair-share scheduled

@@ -16,8 +16,8 @@ import (
 )
 
 // journalName is the per-campaign event log file inside <data>/<id>/ —
-// the same JSONL format the single-campaign coordinator writes, so any
-// campaignd tooling (and LoadJournal) reads it unchanged.
+// the campaignd journal format, so LoadJournal (and every tool built on
+// it) reads it unchanged.
 const journalName = "events.jsonl"
 
 // indexCampaign is one campaign's durable registry entry. The spec rides
@@ -73,40 +73,32 @@ func (s *Server) persistLocked() error {
 	return nil
 }
 
-// openJournal creates (fresh) or re-opens (resume) a campaign's event log.
-// On resume the torn tail a SIGKILL mid-append can leave is truncated
-// before new events append after it, the same recovery the
-// single-campaign coordinator performs.
-func (s *Server) openJournal(c *campaign, resume bool) (*os.File, error) {
+// openJournal creates (j == nil) or re-opens (resume) a campaign's event
+// log. On resume the journal is truncated to the durable prefix LoadJournal
+// measured, dropping the torn tail a SIGKILL mid-append can leave before
+// new events append after it.
+func (s *Server) openJournal(c *campaign, j *campaignd.Journal) (*os.File, error) {
 	if err := os.MkdirAll(s.campaignDir(c.id), 0o755); err != nil {
 		return nil, fmt.Errorf("campsrv: campaign dir %s: %w", c.id, err)
 	}
 	path := s.journalPath(c.id)
-	if !resume {
+	if j == nil {
 		f, err := os.Create(path)
 		if err != nil {
 			return nil, fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
 		}
 		return f, nil
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
-	}
-	keep := 0
-	if idx := bytes.LastIndexByte(data, '\n'); idx >= 0 {
-		keep = idx + 1
-	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
 	}
-	if keep < len(data) {
+	if j.TruncatedTail {
 		if s.log != nil {
 			s.log.Warn("journal has a torn tail line; truncating",
-				"campaign", c.id, "dropped_bytes", len(data)-keep)
+				"campaign", c.id, "durable_bytes", j.Durable)
 		}
-		if err := f.Truncate(int64(keep)); err != nil {
+		if err := f.Truncate(j.Durable); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("campsrv: campaign %s journal: truncate torn tail: %w", c.id, err)
 		}
@@ -239,7 +231,7 @@ func (s *Server) resumeCampaignLocked(c *campaign) error {
 		return nil
 	}
 	// Incomplete: back to a live lease book with the recovered results.
-	if err := s.startLocked(c, j.Results); err != nil {
+	if err := s.startLocked(c, j); err != nil {
 		return err
 	}
 	return nil

@@ -67,11 +67,6 @@ func WithOnFinding(fn func(Finding)) Option {
 	return func(c *Campaign) { c.onFinding = fn }
 }
 
-// WithRecentWindow sets how many recently sent frames each finding records.
-func WithRecentWindow(n int) Option {
-	return func(c *Campaign) { c.window = n }
-}
-
 // WithMaxFrames bounds the number of frames transmitted.
 func WithMaxFrames(n uint64) Option {
 	return func(c *Campaign) { c.maxFrames = n }

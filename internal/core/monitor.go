@@ -85,9 +85,6 @@ func (m *Monitor) SentMeans() *analysis.ByteMeans { return &m.sentMeans }
 // ObservedMeans returns the statistics over observed bus traffic.
 func (m *Monitor) ObservedMeans() *analysis.ByteMeans { return &m.observedMeans }
 
-// SentCount returns the number of frames sent with a given identifier.
-func (m *Monitor) SentCount(id can.ID) uint64 { return m.sentByID[id] }
-
 // DistinctIDsSent returns how many distinct identifiers have been fuzzed —
 // the identifier-coverage numerator. With the full 2048-ID space at 1 ms
 // pacing, complete ID coverage arrives within a few virtual seconds even

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/can"
@@ -167,14 +166,5 @@ func MergeCorpora(perTrial [][]string) []string {
 			}
 		}
 	}
-	return out
-}
-
-// SortedCopy returns a lexicographically sorted copy of lines — handy for
-// comparing corpora from differently-ordered sources in tests.
-func SortedCopy(lines []string) []string {
-	out := make([]string, len(lines))
-	copy(out, lines)
-	sort.Strings(out)
 	return out
 }

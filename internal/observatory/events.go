@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// Event types. Together they are the wire vocabulary the future
-// coordinator/worker service will speak; DESIGN §11 documents the schema.
+// Event types. Together they are the vocabulary of the campaign journal
+// the campaignd lease book writes; DESIGN §11 documents the schema.
 const (
 	// EventTrialStart marks a worker picking up a trial.
 	EventTrialStart = "trial_start"

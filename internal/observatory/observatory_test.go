@@ -471,17 +471,17 @@ func TestEventParseLineRoundTrip(t *testing.T) {
 }
 
 func TestEventsLongPollUnblocksOnShutdown(t *testing.T) {
-	// Satellite of the distributed-campaign work: a graceful server
-	// shutdown must not wait out every /events long-poller's waitMs. The
-	// sink's Close is registered as an http.Server shutdown hook, so
-	// telemetry.Shutdown wakes the pollers and the drain completes
-	// promptly, leaving no poller goroutines behind.
+	// A graceful server shutdown must not wait out every /events
+	// long-poller's waitMs. With the sink's Close registered as an
+	// http.Server shutdown hook, telemetry.Shutdown wakes the pollers and
+	// the drain completes promptly, leaving no poller goroutines behind.
 	sink := observatory.NewSink(nil)
 	obs := observatory.New(observatory.Config{Sink: sink})
-	srv, addr, err := telemetry.ServeHandler("127.0.0.1:0", obs.Handler(observatory.HandlerConfig{}), func() { _ = sink.Close() })
+	srv, addr, err := telemetry.ServeHandler("127.0.0.1:0", obs.Handler(observatory.HandlerConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.RegisterOnShutdown(func() { _ = sink.Close() })
 
 	before := runtime.NumGoroutine()
 	const pollers = 4

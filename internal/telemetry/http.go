@@ -48,22 +48,14 @@ func Serve(addr string, t *Telemetry) (*http.Server, string, error) {
 	return ServeHandler(addr, Handler(t))
 }
 
-// ServeHandler is Serve for an arbitrary handler — the observatory mounts
-// its extended mux through it. Each onShutdown hook is registered via
-// http.Server.RegisterOnShutdown, so a graceful Shutdown runs it before
-// waiting for in-flight requests: the hook's job is to *unblock* them.
-// The observatory passes its event sink's Close here, which wakes /events
-// long-pollers that would otherwise hold the drain until their client
-// timeout.
-func ServeHandler(addr string, h http.Handler, onShutdown ...func()) (*http.Server, string, error) {
+// ServeHandler is Serve for an arbitrary handler — the observatory and
+// canfuzzd mount their extended muxes through it.
+func ServeHandler(addr string, h http.Handler) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: h}
-	for _, fn := range onShutdown {
-		srv.RegisterOnShutdown(fn)
-	}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }
